@@ -16,27 +16,38 @@ storage manager needs:
 
 from __future__ import annotations
 
+import pickle
 import typing
+import zlib
 from dataclasses import dataclass, replace
 
 from repro.sim.devices import DiskArray
 from repro.sim.faults import PageCorruptionError, RetryPolicy, TransientDiskError
-from repro.util import stable_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import WorkerNode
 
 
 def page_checksum(records: list) -> int:
-    """Order-sensitive 64-bit checksum of a page payload.
+    """CRC-32 of the pickle protocol 5 image of a page's record list.
 
-    Built from :func:`repro.util.stable_hash` so it is reproducible across
-    processes (Python's ``hash`` is randomized per process).
+    The pickle image is one canonical byte encoding of the whole list, so
+    any change to a value's bytes changes the checksum: a float differing
+    in its last digit, any element of a numpy array however long, and the
+    order or number of records.  Limits:
+
+    * the checksum is 32 bits wide, so a random corruption goes unseen
+      with probability 2**-32;
+    * records must be picklable;
+    * the value is stable within one process, not across Python or numpy
+      versions, and a set of strings pickles in hash-seed order — so
+      checksums live only in the in-memory meta file and are never
+      persisted (checkpoints recompute them on restore).
+
+    Stored images are shallow copies of the written list, so pickle's
+    memo layout (shared references) is the same at write and at read.
     """
-    acc = 0xCBF29CE484222325
-    for record in records:
-        acc = ((acc ^ stable_hash(repr(record))) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc
+    return zlib.crc32(pickle.dumps(records, protocol=5))
 
 
 #: Sentinel injected into corrupted payloads; never equal to a user record.
@@ -199,14 +210,14 @@ class SetFile:
     # data-file operations (all charge simulated disk time)
     # ------------------------------------------------------------------
 
-    def write_page(self, page_id: int, records: list, nbytes: int) -> float:
-        """Persist one page image; returns the simulated seconds charged.
+    def _record_image(self, page_id: int, records: list, nbytes: int) -> None:
+        """Store one page image and its meta-file entry (no disk charge).
 
-        The image's checksum is computed before the write and stored in the
-        meta file, so corruption of the stored image (injected or modeled)
-        is detected end-to-end on the next read.
+        The checksum is taken over the stored copy.  The page's extent is
+        reused when it is large enough; otherwise a new one is allocated.
         """
-        checksum = page_checksum(records)
+        image = list(records)
+        checksum = page_checksum(image)
         existing = self._meta.get(page_id)
         if existing is not None and existing.allocated_bytes >= nbytes:
             location = replace(
@@ -228,13 +239,27 @@ class SetFile:
                 extent_bytes=extent,
             )
         self._meta[page_id] = location
-        self._payloads[page_id] = list(records)
-        cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
-        if self.owner is not None and self.owner.fault_injector is not None:
-            if self.owner.fault_injector.should_corrupt(
-                self.set_name, self.owner, page_id
-            ):
+        self._payloads[page_id] = image
+
+    def _inject_corruptions(self, page_ids) -> None:
+        """Let the owner's fault injector corrupt freshly written images."""
+        injector = self.owner.fault_injector if self.owner is not None else None
+        if injector is None:
+            return
+        for page_id in page_ids:
+            if injector.should_corrupt(self.set_name, self.owner, page_id):
                 self.corrupt_image(page_id)
+
+    def write_page(self, page_id: int, records: list, nbytes: int) -> float:
+        """Persist one page image; returns the simulated seconds charged.
+
+        The image's checksum is computed before the write and stored in the
+        meta file, so corruption of the stored image (injected or modeled)
+        is detected end-to-end on the next read.
+        """
+        self._record_image(page_id, records, nbytes)
+        cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
+        self._inject_corruptions([page_id])
         return cost
 
     def write_many(self, entries: "list[tuple[int, list, int]]") -> float:
@@ -251,41 +276,12 @@ class SetFile:
         if not entries:
             return 0.0
         if len(entries) == 1:
-            page_id, records, nbytes = entries[0]
-            return self.write_page(page_id, records, nbytes)
-        sizes = []
+            return self.write_page(*entries[0])
         for page_id, records, nbytes in entries:
-            checksum = page_checksum(records)
-            existing = self._meta.get(page_id)
-            if existing is not None and existing.allocated_bytes >= nbytes:
-                location = replace(
-                    existing,
-                    nbytes=nbytes,
-                    checksum=checksum,
-                    extent_bytes=existing.allocated_bytes,
-                )
-            else:
-                if existing is not None:
-                    self._release_extent(existing)
-                disk_index, offset, extent = self._allocate_extent(nbytes)
-                location = PageLocation(
-                    page_id=page_id,
-                    disk_index=disk_index,
-                    offset=offset,
-                    nbytes=nbytes,
-                    checksum=checksum,
-                    extent_bytes=extent,
-                )
-            self._meta[page_id] = location
-            self._payloads[page_id] = list(records)
-            sizes.append(nbytes)
+            self._record_image(page_id, records, nbytes)
+        sizes = [nbytes for _page_id, _records, nbytes in entries]
         cost = self._with_retries(lambda: self.disks.write_many(sizes))
-        if self.owner is not None and self.owner.fault_injector is not None:
-            for page_id, _records, _nbytes in entries:
-                if self.owner.fault_injector.should_corrupt(
-                    self.set_name, self.owner, page_id
-                ):
-                    self.corrupt_image(page_id)
+        self._inject_corruptions([page_id for page_id, _r, _n in entries])
         return cost
 
     def read_page(self, page_id: int) -> tuple[list, float]:

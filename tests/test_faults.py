@@ -1,5 +1,6 @@
 """Tests for deterministic fault injection, retries, and page integrity."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -206,6 +207,21 @@ def disks():
     return DiskArray([DiskDevice(clock=clock), DiskDevice(clock=clock)])
 
 
+def numpy_page():
+    points = np.linspace(0.0, 1.0, 5000)
+    points[1] = 0.123456789012
+    return points
+
+
+#: (index, new value) pairs that numpy's repr hides: a change in the 12th
+#: significant digit (repr rounds to 8) and an element in the middle of a
+#: long array (repr elides everything past the first and last three).
+NUMPY_CORRUPTIONS = [
+    pytest.param(1, 0.123456789013, id="12th-digit"),
+    pytest.param(2500, -1.0, id="elided-element"),
+]
+
+
 class TestPageIntegrity:
     def test_checksum_is_payload_and_order_sensitive(self):
         assert page_checksum(["a", "b"]) == page_checksum(["a", "b"])
@@ -218,6 +234,25 @@ class TestPageIntegrity:
         handle.corrupt_image(1)
         with pytest.raises(PageCorruptionError):
             handle.read_page(1)
+
+    @pytest.mark.parametrize("index, value", NUMPY_CORRUPTIONS)
+    def test_checksum_sees_numpy_value_change(self, index, value):
+        before = numpy_page()
+        after = before.copy()
+        after[index] = value
+        assert page_checksum([before]) != page_checksum([after])
+
+    @pytest.mark.parametrize("index, value", NUMPY_CORRUPTIONS)
+    def test_numpy_image_corruption_detected_on_read(self, index, value):
+        node = tiny_cluster(num_nodes=1).nodes[0]
+        handle = node.fs.create_file("points")
+        handle.write_page(1, [numpy_page()], 1 * MB)
+        # Stored images share their records with the written list, so the
+        # array peek_records returns is the one on "disk".
+        handle.peek_records(1)[0][index] = value
+        with pytest.raises(PageCorruptionError):
+            handle.read_page(1)
+        assert node.robustness.corruptions_detected == 1
 
     def test_rewrite_clears_corruption(self, disks):
         handle = SetFile("s", disks)
